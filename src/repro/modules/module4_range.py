@@ -25,10 +25,10 @@ DESIGN.md §2: they set *where* the rooflines sit, not who wins.
 
 from __future__ import annotations
 
-import functools
 import threading
+from collections import OrderedDict, namedtuple
 from dataclasses import dataclass
-from typing import Optional
+from typing import Any, Callable, Hashable, Optional
 
 import numpy as np
 
@@ -81,69 +81,113 @@ def build_index(points: np.ndarray, algorithm: str, *, max_entries: int = 16):
     )
 
 
-# Every rank builds an identical index over the identical replicated
-# dataset.  In *virtual* time that build is charged per rank (as it
-# would cost on a cluster); in *real* time we build once per unique
-# (n, seed, algorithm, max_entries) and share the read-only structure
-# across rank threads — a pure simulation-speed optimization.
-_INDEX_CACHE: dict[tuple, object] = {}
-_INDEX_CACHE_LOCK = threading.Lock()
+class _Slot:
+    __slots__ = ("lock", "done", "value")
+
+    def __init__(self) -> None:
+        self.lock = threading.Lock()
+        self.done = False
+        self.value: Any = None
 
 
-@functools.lru_cache(maxsize=8)
-def _shared_datasets_cached(n: int, q: int, seed: int):
-    return asteroid_catalog(n, seed=seed), asteroid_query_boxes(q, seed=seed)
+CacheInfo = namedtuple("CacheInfo", ["hits", "misses", "maxsize", "currsize"])
 
 
-def _shared_datasets(n: int, q: int, seed):
-    """Deterministic catalog + queries, generated once per parameter set.
+def compute_once_cache(maxsize: int) -> Callable[[Hashable, Callable[[], Any]], Any]:
+    """A thread-safe cache, ``get(key, compute)``, that computes each
+    key's value exactly once.
 
-    Every rank would generate byte-identical arrays from the shared
-    seed, so caching only removes redundant real-time work; unhashable
-    seeds simply bypass the cache.
+    The first caller for a key runs ``compute()`` while holding that
+    key's own lock; concurrent callers for the same key wait on it and
+    receive the same object, while other keys proceed independently.  A
+    raising compute propagates to its caller and leaves the key empty, so
+    the next caller computes again.  At most ``maxsize`` keys are kept,
+    the least recently used evicted first.  Like a :mod:`functools`
+    cache, ``get`` carries ``cache_info()`` and ``cache_clear()``, so
+    whatever resets the package's ``functools`` caches resets it too.
     """
-    if isinstance(seed, int):
-        return _shared_datasets_cached(n, q, seed)
+    check_positive("maxsize", maxsize)
+    lock = threading.Lock()
+    slots: OrderedDict[Hashable, _Slot] = OrderedDict()
+    hits = misses = 0
+
+    def get(key: Hashable, compute: Callable[[], Any]) -> Any:
+        nonlocal hits, misses
+        with lock:
+            slot = slots.get(key)
+            if slot is None:
+                slot = slots[key] = _Slot()
+                while len(slots) > maxsize:
+                    slots.popitem(last=False)
+            else:
+                slots.move_to_end(key)
+        with slot.lock:
+            if slot.done:
+                with lock:
+                    hits += 1
+                return slot.value
+            try:
+                slot.value = compute()
+            except BaseException:
+                with lock:
+                    if slots.get(key) is slot:
+                        del slots[key]
+                raise
+            slot.done = True
+            with lock:
+                misses += 1
+            return slot.value
+
+    def cache_info() -> CacheInfo:
+        with lock:
+            return CacheInfo(hits, misses, maxsize, len(slots))
+
+    def cache_clear() -> None:
+        nonlocal hits, misses
+        with lock:
+            slots.clear()
+            hits = misses = 0
+
+    get.cache_info = cache_info  # type: ignore[attr-defined]
+    get.cache_clear = cache_clear  # type: ignore[attr-defined]
+    return get
+
+
+# Every rank generates the identical catalog and queries, builds the
+# identical index and answers a slice of the identical query set.  In
+# *virtual* time all of that is charged per rank (as it would cost on a
+# cluster); in *real* time each piece is computed once per parameter set
+# and shared read-only across the rank threads — a pure
+# simulation-speed optimization.  Only ``int`` seeds are shared: any
+# other seed (``None`` above all) may draw different data on every call,
+# so each rank computes its own.
+shared_work = compute_once_cache(maxsize=16)
+
+
+def _datasets(n: int, q: int, seed):
     return asteroid_catalog(n, seed=seed), asteroid_query_boxes(q, seed=seed)
 
 
-def _shared_index(points: np.ndarray, algorithm: str, max_entries: int, key: tuple):
-    with _INDEX_CACHE_LOCK:
-        index = _INDEX_CACHE.get(key)
-        if index is None:
-            if len(_INDEX_CACHE) > 8:
-                _INDEX_CACHE.clear()
-            index = build_index(points, algorithm, max_entries=max_entries)
-            _INDEX_CACHE[key] = index
-    return index
-
-
-def _shared_query_profile(index, boxes: np.ndarray, key: tuple) -> np.ndarray:
+def _query_profile(index, boxes: np.ndarray) -> np.ndarray:
     """Per-query work profile: ``(q, 3)`` of (matches, nodes, entries).
 
     Every rank answers a *slice* of the same deterministic query set, so
     executing each query once and letting ranks aggregate their slices
-    is result-identical to per-rank execution — another real-time-only
-    optimization (virtual cost is still charged per rank from its own
-    slice's counters).
+    is result-identical to per-rank execution (virtual cost is still
+    charged per rank from its own slice's counters).
     """
-    cache_key = ("profile",) + key
-    with _INDEX_CACHE_LOCK:
-        profile = _INDEX_CACHE.get(cache_key)
-    if profile is None:
-        rows = np.empty((len(boxes), 3), dtype=np.int64)
-        for i, box in enumerate(boxes):
-            stats = QueryStats()
-            found = index.query_range(Rect.from_intervals(box), stats)
-            rows[i] = (len(found), stats.nodes_visited, stats.entries_checked)
-        profile = rows
-        with _INDEX_CACHE_LOCK:
-            _INDEX_CACHE[cache_key] = profile
-    return profile
+    rows = np.empty((len(boxes), 3), dtype=np.int64)
+    for i, box in enumerate(boxes):
+        stats = QueryStats()
+        found = index.query_range(Rect.from_intervals(box), stats)
+        rows[i] = (len(found), stats.nodes_visited, stats.entries_checked)
+    return rows
 
 
-def charge_query_cost(comm, algorithm: str, stats: QueryStats, dims: int, max_entries: int) -> float:
-    """Charge the roofline cost of answered queries from work counters."""
+def _query_flops_bytes(
+    algorithm: str, stats: QueryStats, dims: int, max_entries: int
+) -> tuple[float, float]:
+    """The cost model's (flops, bytes) for answered queries' work counters."""
     flops = stats.entries_checked * FLOPS_PER_ENTRY
     if algorithm == "brute":
         nbytes = stats.entries_checked * dims * 8 * BRUTE_MISS_FRACTION
@@ -153,6 +197,12 @@ def charge_query_cost(comm, algorithm: str, stats: QueryStats, dims: int, max_en
             * _node_bytes(dims, max_entries)
             * RTREE_RANDOM_ACCESS_PENALTY
         )
+    return flops, nbytes
+
+
+def charge_query_cost(comm, algorithm: str, stats: QueryStats, dims: int, max_entries: int) -> float:
+    """Charge the roofline cost of answered queries from work counters."""
+    flops, nbytes = _query_flops_bytes(algorithm, stats, dims, max_entries)
     return comm.compute(flops=flops, nbytes=nbytes)
 
 
@@ -174,11 +224,22 @@ def range_query_activity(
     """
     check_positive("n", n)
     check_positive("q", q)
-    catalog, boxes = _shared_datasets(n, q, seed)
+    my_slice = block_partition(q, comm.size, comm.rank)
+    if isinstance(seed, int):
+        catalog, boxes = shared_work(("data", n, q, seed), lambda: _datasets(n, q, seed))
+        index = shared_work(
+            ("index", n, seed, algorithm, max_entries),
+            lambda: build_index(catalog.points, algorithm, max_entries=max_entries),
+        )
+        profile = shared_work(
+            ("profile", n, q, seed, algorithm, max_entries),
+            lambda: _query_profile(index, boxes),
+        )[my_slice]
+    else:
+        catalog, boxes = _datasets(n, q, seed)
+        index = build_index(catalog.points, algorithm, max_entries=max_entries)
+        profile = _query_profile(index, boxes[my_slice])
     points = catalog.points
-    index = _shared_index(
-        points, algorithm, max_entries, key=(n, repr(seed), algorithm, max_entries)
-    )
     # Building the index is a one-time, per-rank cost (the dataset is
     # replicated).  An STR bulk load is sort-dominated — compare-heavy
     # with one streaming pass over the data — so it is charged
@@ -188,11 +249,6 @@ def range_query_activity(
             flops=n * np.log2(max(n, 2)) * FLOPS_PER_ENTRY,
             nbytes=n * points.shape[1] * 8,
         )
-
-    my_slice = block_partition(q, comm.size, comm.rank)
-    profile = _shared_query_profile(
-        index, boxes, key=(n, q, repr(seed), algorithm, max_entries)
-    )[my_slice]
     matches = int(profile[:, 0].sum())
     stats = QueryStats(
         nodes_visited=int(profile[:, 1].sum()),
@@ -257,13 +313,5 @@ def operational_intensity_of(algorithm: str, stats: QueryStats, dims: int, max_e
     """Flops-per-byte this module's cost model assigns a finished run —
     lets students *see* why the brute force scan is compute-bound
     (intensity far above the node ridge) and the R-tree is not."""
-    flops = stats.entries_checked * FLOPS_PER_ENTRY
-    if algorithm == "brute":
-        nbytes = stats.entries_checked * dims * 8 * BRUTE_MISS_FRACTION
-    else:
-        nbytes = (
-            stats.nodes_visited
-            * _node_bytes(dims, max_entries)
-            * RTREE_RANDOM_ACCESS_PENALTY
-        )
+    flops, nbytes = _query_flops_bytes(algorithm, stats, dims, max_entries)
     return flops / nbytes if nbytes else float("inf")
